@@ -250,15 +250,17 @@ def ingest_corpus(
     else:
         graphs = []
 
+    if policy.on_bad_input is None:
+        graphs = [from_sample(sample) for sample in corpus]
+
     if policy.verify is not None:
         # Imported here: repro.staticcheck depends on repro.acfg.
         from repro.staticcheck import verify_corpus
 
+        # Verify the graphs this ingest returns.  The gate reads only
+        # ERROR findings, so the dataflow warnings are not computed.
         with obs_span(f"{span_prefix}.verify"):
-            verify_corpus(corpus, mode=policy.verify)
-
-    if policy.on_bad_input is None:
-        graphs = [from_sample(sample) for sample in corpus]
+            verify_corpus(corpus, mode=policy.verify, dataflow=False, graphs=graphs)
 
     lift_maps = None
     reduction = None
@@ -349,10 +351,15 @@ def ingest_sample(
 
     if stage_hook is not None:
         stage_hook("verify")
-    if policy.verify is not None and not skip_cfg_checks:
-        from repro.staticcheck import Severity, verify_sample
+    # ``graph`` is None here only when a custom sanitizer tolerates
+    # construction_error; such a sample has nothing to verify or serve.
+    if policy.verify is not None and not skip_cfg_checks and graph is not None:
+        from repro.staticcheck import Severity, verify_acfg
 
-        findings = verify_sample(sample)
+        # Structural checks on the graph that will be served.  Dataflow
+        # findings are WARNING/INFO at most and never reach a verdict;
+        # they come from verify_corpus / repro-check / eval instead.
+        findings = verify_acfg(graph, sample.cfg, sample.program, dataflow=False)
         errors = [f for f in findings if f.severity >= Severity.ERROR]
         if errors:
             for finding in errors:

@@ -16,7 +16,8 @@ thread:
 
 Rejections are typed (:class:`~repro.serve.engine.RequestRejected`):
 ``backpressure`` when the bounded queue is full, ``oversize`` /
-``quarantine`` from the ingestion gate.  Every decision increments a
+``quarantine`` from the ingestion gate, ``quarantine`` for text the
+parser or CFG recovery refuses.  Every decision increments a
 ``serve.*`` counter in the process-wide metrics registry.
 
 **Resilience** (:mod:`repro.resilience`): every stage boundary —
@@ -64,8 +65,8 @@ from repro.serve.engine import (
     InferenceEngine,
     PreparedRequest,
     RequestRejected,
+    _admit_text,
     _bare_sample,
-    submission_from_text,
 )
 
 __all__ = ["DaemonConfig", "ExplanationCache", "ServeDaemon"]
@@ -264,7 +265,8 @@ class ServeDaemon:
     def submit_text(
         self, text: str, name: str = "submission", explainer: str | None = None
     ) -> EngineResponse:
-        return self.submit(submission_from_text(text, name=name), explainer=explainer)
+        """Serve an assembly listing; unparsable text is ``quarantine``."""
+        return self.submit(_admit_text(text, name=name), explainer=explainer)
 
     def submit_graph(self, graph: ACFG, name: str | None = None) -> EngineResponse:
         """Serve a bare (unscaled, unreduced) ACFG with no CFG attached."""

@@ -92,6 +92,34 @@ def submission_from_text(text: str, name: str = "submission") -> LabeledSample:
     )
 
 
+def _admit_text(text: str, name: str = "submission") -> LabeledSample:
+    """:func:`submission_from_text` for the front door.
+
+    Text the parser or CFG recovery refuses is hostile input like any
+    other: it raises :class:`RequestRejected` (``quarantine``) carrying
+    a ``construction_error`` record at stage ``construction``.
+    """
+    from repro.disasm import CFGBuildError, ParseError
+    from repro.harden.sanitize import QuarantineRecord
+
+    try:
+        return submission_from_text(text, name=name)
+    except (ParseError, CFGBuildError) as error:
+        record = QuarantineRecord(
+            name,
+            "unknown",
+            "construction_error",
+            f"{type(error).__name__}: {error}",
+            "construction",
+        )
+        add_counter("serve.rejected.quarantine")
+        raise RequestRejected(
+            "quarantine",
+            f"{record.reason} at {record.stage}: {record.detail}",
+            [record],
+        ) from error
+
+
 @dataclass
 class PreparedRequest:
     """A submission that survived admission, ready to classify.
@@ -382,7 +410,8 @@ class InferenceEngine:
     def submit_text(
         self, text: str, name: str = "submission", explainer: str | None = None
     ) -> EngineResponse:
-        return self.submit(submission_from_text(text, name=name), explainer=explainer)
+        """Serve an assembly listing; unparsable text is ``quarantine``."""
+        return self.submit(_admit_text(text, name=name), explainer=explainer)
 
     def submit_graph(self, graph: ACFG, name: str | None = None) -> EngineResponse:
         """Serve a bare (unscaled, unreduced) ACFG with no CFG attached."""

@@ -9,6 +9,7 @@ engine.
 
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -275,3 +276,17 @@ def test_stop_drains_admitted_tickets():
     daemon.stop()
     assert len(responses) == 4
     assert daemon._thread is None
+
+
+@pytest.mark.parametrize("listing", ["dangling_jump", "unknown_mnemonic"])
+def test_unparsable_text_rejected_as_quarantine(serve_engine, listing):
+    text = (Path(__file__).parent / "data" / "hostile" / f"{listing}.asm").read_text()
+    before = metrics_registry().snapshot()
+    with ServeDaemon(serve_engine, DaemonConfig()) as daemon:
+        with pytest.raises(RequestRejected) as excinfo:
+            daemon.submit_text(text, name=listing)
+    delta = metrics_registry().delta_since(before)
+    assert excinfo.value.reason == "quarantine"
+    [record] = excinfo.value.records
+    assert (record.reason, record.stage) == ("construction_error", "construction")
+    assert delta.get("serve.rejected.quarantine", 0) == 1

@@ -1,11 +1,14 @@
 """Engine layer: the single-submission request path (repro.serve.engine)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.acfg import ACFG, IngestPolicy
 from repro.acfg.graph import from_sample
 from repro.harden import GraphSanitizer
+from repro.obs import metrics_registry
 from repro.reduce import ReduceConfig
 from repro.serve import InferenceEngine, RequestRejected, submission_from_text
 
@@ -153,3 +156,22 @@ def test_submission_from_text_shape():
     assert sample.program.name == "tiny"
     assert sample.family == "unknown"
     assert len(sample.block_tags) == len(sample.cfg.blocks)
+
+
+HOSTILE_DIR = Path(__file__).parent / "data" / "hostile"
+
+
+@pytest.mark.parametrize("listing", ["dangling_jump", "unknown_mnemonic"])
+def test_unparsable_text_rejected_as_quarantine(serve_engine, listing):
+    text = (HOSTILE_DIR / f"{listing}.asm").read_text()
+    before = metrics_registry().snapshot()
+    with pytest.raises(RequestRejected) as excinfo:
+        serve_engine.submit_text(text, name=listing)
+    delta = metrics_registry().delta_since(before)
+    assert excinfo.value.reason == "quarantine"
+    [record] = excinfo.value.records
+    assert (record.name, record.reason, record.stage) == (
+        listing, "construction_error", "construction"
+    )
+    assert record.detail.startswith("ParseError: ")
+    assert delta.get("serve.rejected.quarantine", 0) == 1
