@@ -6,7 +6,11 @@ GCN layers, workspace buffer reuse) at that scale, where the dense
 per-graph path's O(N²) memory (a ~430 MB dense Â per graph) makes a
 full side-by-side sweep impractical.  The batched path is timed for
 training and inference; one dense per-graph forward anchors parity so
-the sparse kernels cannot silently diverge at scale.
+the sparse kernels cannot silently diverge at scale.  One CFGExplainer
+explanation of the largest graph is timed too, and its tracemalloc
+peak must stay below one dense N×N float64 of that graph: Algorithm 2's
+rungs are node masks over one CSR structure and its ladder is derived
+from the ordering, so no rung may hold an N×N matrix.
 
 Writes ``BENCH_paper_scale.json`` (repo root or ``$REPRO_BENCH_DIR``);
 ``repro.tools.bench_compare`` gates the ``*graphs_per_sec`` metrics
@@ -17,11 +21,13 @@ runner while keeping the paper's graph scale.
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 from conftest import bench_artifact_path
 
 from repro.acfg import ACFGDataset, FeatureScaler
+from repro.core import CFGExplainer, CFGExplainerModel
 from repro.gnn import GCNClassifier, train_gnn
 from repro.malgen import generate_corpus
 
@@ -67,7 +73,31 @@ def test_bench_paper_scale_batched_engine():
     # Parity anchor: the dense per-graph path must agree with the
     # batched sparse kernels on the largest graph.
     big_index = int(np.argmax([g.n_real for g in graphs]))
-    assert int(batch_preds[big_index]) == int(model.predict(graphs[big_index]))
+    big = graphs[big_index]
+    assert int(batch_preds[big_index]) == int(model.predict(big))
+
+    # One CFGExplainer explanation of the largest graph (untrained Θ:
+    # the cost of Algorithm 2 does not depend on the scorer's weights).
+    # Timed untraced, then run again under tracemalloc for its peak.
+    explainer = CFGExplainer(
+        model,
+        CFGExplainerModel(
+            model.embedding_size, len(FAMILIES), rng=np.random.default_rng(0)
+        ),
+    )
+    start = time.perf_counter()
+    explainer.explain(big)
+    explain_s = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        explainer.explain(big)
+        _, explain_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = big.n * big.n * 8
+    assert explain_peak < dense_bytes, (
+        f"explanation peak {explain_peak} B >= one dense N×N ({dense_bytes} B)"
+    )
 
     report = {
         "corpus": {
@@ -97,6 +127,10 @@ def test_bench_paper_scale_batched_engine():
                 ),
             },
         },
+        "explain": {
+            "cfgexplainer_explain_s": round(explain_s, 4),
+            "cfgexplainer_peak_alloc_mb": round(explain_peak / 2**20, 2),
+        },
     }
     bench_artifact_path(ARTIFACT_NAME).write_text(json.dumps(report, indent=2) + "\n")
 
@@ -105,4 +139,6 @@ def test_bench_paper_scale_batched_engine():
         f"  train {report['training']['batched']['graphs_per_sec']:>7} g/s"
         f"  infer {report['inference']['batched']['graphs_per_sec']:>7} g/s"
         f"  ({report['inference']['batched']['knodes_per_sec']} knodes/s)"
+        f"  explain {report['explain']['cfgexplainer_explain_s']} s"
+        f" / {report['explain']['cfgexplainer_peak_alloc_mb']} MB peak"
     )

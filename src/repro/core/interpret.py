@@ -1,13 +1,18 @@
 """Algorithm 2 — the interpretation stage of CFGExplainer.
 
 Starting from the full graph, the trained scorer Θ_s is probed
-iteratively: at each step the adjacency of the ``step_size`` percent
-lowest-scoring remaining nodes is zeroed out (rows and columns), the
-embeddings are recomputed through the frozen Φ_e on the pruned
-adjacency, and the loop repeats until only ``step_size`` percent of
-nodes remain.  The removal order, reversed, is the node importance
-ordering ``V_ordered``; the recorded adjacency snapshots, reversed, are
-the subgraph ladder.
+iteratively: at each step the ``step_size`` percent lowest-scoring
+remaining nodes are pruned — their adjacency rows and columns zeroed —
+the embeddings are recomputed through the frozen Φ_e on the pruned
+graph, and the loop repeats until only ``step_size`` percent of nodes
+remain.  The removal order, reversed, is the node importance ordering
+``V_ordered``; each rung of the subgraph ladder is a prefix of it.
+
+A rung is a node mask, not a matrix: the graph's symmetrized edge
+structure is built once per call (:class:`repro.gnn.normalize.
+EdgeStructure`) and each rung only re-weights its data before Φ_e runs
+through the CSR kernels (``embed_csr``).  Structurally identical nodes
+therefore get bit-equal scores.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ import numpy as np
 
 from repro.acfg.graph import ACFG
 from repro.core.model import CFGExplainerModel
-from repro.explain.base import Explainer, level_fractions
-from repro.explain.explanation import Explanation, SubgraphLevel, kept_count
+from repro.explain.base import Explainer, ladder_from_order, level_fractions
+from repro.explain.explanation import Explanation, kept_count
 from repro.gnn.cache import EmbeddingCache
 from repro.gnn.model import GCNClassifier
+from repro.gnn.normalize import EdgeStructure
 from repro.nn import Tensor, no_grad
 from repro.obs import span as obs_span
 
@@ -36,7 +42,7 @@ def interpret(
 ) -> Explanation:
     """Run Algorithm 2 on one ACFG.
 
-    Follows the paper with two departures:
+    Follows the paper with two departures, plus a tie rule:
 
     * The paper assumes ``step_size`` divides the graph evenly; here
       per-iteration prune counts come from per-level target sizes
@@ -48,7 +54,12 @@ def interpret(
       evaluation classifies has both masked, so this keeps the
       re-scored embeddings on the distribution the scores are used
       against; pass ``False`` for the literal Algorithm 2.
+    * Pruning sorts are stable, so nodes with exactly equal scores keep
+      the order of the previous pass — node index on the first.  The
+      CSR rungs score structurally identical blocks bit-equal, so such
+      ties resolve by index, not by summation noise.
 
+    ``gnn`` must provide ``embed_csr`` and ``classify``.
     ``embedding_cache`` (the pipeline's shared
     :class:`~repro.gnn.EmbeddingCache`) serves the full-graph rung —
     Z of the first iteration and the predicted class — without
@@ -56,81 +67,63 @@ def interpret(
     """
     if graph.n_real == 0:
         raise ValueError("cannot interpret a graph with no real nodes")
-    fractions = level_fractions(step_size)  # [step%, ..., 100%]
     n_real = graph.n_real
-
-    adjacency = graph.adjacency.copy()
-    features = np.asarray(graph.features, dtype=np.float64).copy()
-    remaining = list(range(n_real))
-    removal_order: list[int] = []
-    snapshots: list[np.ndarray] = []
-
     active_mask = np.zeros(graph.n, dtype=bool)
     active_mask[:n_real] = True
+    edges = EdgeStructure(graph.adjacency, active_mask)
+    features = np.asarray(graph.features, dtype=np.float64).copy()
+    keep = np.ones(graph.n, dtype=bool)
 
+    def embed_rung() -> Tensor:
+        with no_grad():
+            return gnn.embed_csr(edges.normalized(keep), features, active_mask)
+
+    if embedding_cache is not None:
+        full = embedding_cache.forward(graph)
+        z, predicted_class = Tensor(full.z), full.predicted_class
+    else:
+        z = embed_rung()
+        with no_grad():
+            predicted_class = int(np.argmax(gnn.classify(z).numpy()))
+
+    remaining = list(range(n_real))
+    removal_order: list[int] = []
     first_pass_scores: np.ndarray | None = None
 
-    # Walk the ladder top-down: 100%, 100-step, ..., step.
-    target_sizes = [kept_count(f, n_real) for f in fractions]
+    # Walk the ladder top-down: 100%, 100-step, ..., step.  The last
+    # pass scores the smallest rung; those scores order its survivors.
+    target_sizes = [kept_count(f, n_real) for f in level_fractions(step_size)]
     for next_target in reversed([0] + target_sizes[:-1]):
-        snapshots.append(adjacency.copy())
         if next_target >= len(remaining):
             continue
-        if embedding_cache is not None and not removal_order:
-            # Full-graph rung: adjacency/features are still untouched
-            # copies of the input graph, so the shared cache applies.
-            z = Tensor(embedding_cache.forward(graph).z)
-        else:
-            with no_grad():
-                z = gnn.embed(adjacency, features, active_mask)
+        if removal_order:
+            z = embed_rung()
         scores = explainer.node_scores(z, n_real)
         if first_pass_scores is None:
             first_pass_scores = scores.copy()
         if next_target == 0:
-            break  # the smallest rung is recorded; no need to prune further
+            break
+        # Lines 8-18: drop the lowest-scoring remaining nodes.
         prune_count = len(remaining) - next_target
-        # Lines 8-18: repeatedly drop the lowest-scoring remaining node.
         remaining.sort(key=lambda i: scores[i])
         pruned, remaining = remaining[:prune_count], remaining[prune_count:]
-        for node in sorted(pruned, key=lambda i: scores[i]):
-            removal_order.append(node)
-            adjacency[node, :] = 0.0
-            adjacency[:, node] = 0.0
-            if mask_features:
-                features[node, :] = 0.0
+        removal_order.extend(pruned)
+        keep[pruned] = False
+        if mask_features:
+            features[pruned] = 0.0
 
     # Line 19: removal order reversed = importance order (most important
     # first).  Nodes never pruned (the final rung) are the most
     # important of all; order them by their final-pass scores.
-    with no_grad():
-        z = gnn.embed(adjacency, features, active_mask)
-    final_scores = explainer.node_scores(z, n_real)
-    survivors = sorted(remaining, key=lambda i: final_scores[i], reverse=True)
-    node_order = np.array(survivors + list(reversed(removal_order)), dtype=int)
+    survivors = sorted(remaining, key=lambda i: scores[i], reverse=True)
+    node_order = np.array(survivors + removal_order[::-1], dtype=int)
 
-    # Line 20: snapshots reversed = smallest subgraph first.  Snapshot k
-    # (after reversal) corresponds to fraction fractions[k].
-    snapshots.reverse()
-    levels = [
-        SubgraphLevel(
-            fraction=fraction,
-            kept_nodes=node_order[:size].copy(),
-            adjacency=snapshot,
-        )
-        for fraction, size, snapshot in zip(fractions, target_sizes, snapshots)
-    ]
-
-    predicted_class = (
-        embedding_cache.forward(graph).predicted_class
-        if embedding_cache is not None
-        else gnn.predict(graph)
-    )
     return Explanation(
         graph=graph,
         explainer_name="CFGExplainer",
         predicted_class=predicted_class,
         node_order=node_order,
-        levels=levels,
+        levels=ladder_from_order(graph, node_order, step_size),
         node_scores=first_pass_scores,
     )
 

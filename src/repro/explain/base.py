@@ -38,20 +38,21 @@ def level_fractions(step_size: int) -> list[float]:
 def ladder_from_order(
     graph: ACFG, node_order: np.ndarray, step_size: int
 ) -> list[SubgraphLevel]:
-    """Build the subgraph ladder for a fixed importance ordering."""
-    levels = []
-    for fraction in level_fractions(step_size):
-        kept = np.asarray(
-            node_order[: kept_count(fraction, graph.n_real)], dtype=int
+    """The subgraph ladder for a fixed importance ordering.
+
+    Every rung is a prefix of ``node_order``; no adjacency is built
+    here (see :attr:`SubgraphLevel.adjacency`).
+    """
+    return [
+        SubgraphLevel(
+            fraction=fraction,
+            kept_nodes=np.asarray(
+                node_order[: kept_count(fraction, graph.n_real)], dtype=int
+            ),
+            graph=graph,
         )
-        levels.append(
-            SubgraphLevel(
-                fraction=fraction,
-                kept_nodes=kept,
-                adjacency=graph.subgraph_adjacency(kept),
-            )
-        )
-    return levels
+        for fraction in level_fractions(step_size)
+    ]
 
 
 class Explainer(abc.ABC):

@@ -2,7 +2,8 @@
 
 Mirrors the outputs of the paper's Algorithm 2: a node ordering
 (``V_ordered``, most important first) plus a ladder of subgraphs at each
-step-size level, smallest first.
+step-size level, smallest first.  Each ladder rung is a prefix of the
+ordering; its adjacency is sliced from the graph only when read.
 """
 
 from __future__ import annotations
@@ -41,14 +42,20 @@ class SubgraphLevel:
     """One rung of the subgraph ladder.
 
     ``fraction`` is the kept share of real nodes (0.1 = top 10%);
-    ``kept_nodes`` are real-node indices; ``adjacency`` is the full
-    [N, N] matrix with pruned rows/columns zeroed (Algorithm 2's shape-
-    preserving masking).
+    ``kept_nodes`` are real-node indices of ``graph``.  The rung's
+    adjacency is derived on access, never stored: a ladder costs
+    O(N) per rung however large the graph.
     """
 
     fraction: float
     kept_nodes: np.ndarray
-    adjacency: np.ndarray
+    graph: ACFG = field(repr=False)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The full [N, N] adjacency with every row/column outside
+        ``kept_nodes`` zeroed (Algorithm 2's shape-preserving masking)."""
+        return self.graph.subgraph_adjacency(self.kept_nodes)
 
 
 @dataclass

@@ -78,12 +78,6 @@ class GraphBatch:
     def total_nodes(self) -> int:
         return int(self.offsets[-1])
 
-    @property
-    def mask_column(self) -> np.ndarray:
-        """``active_mask`` as a ``[total, 1]`` 0/1 column in the feature
-        dtype — the constant the fused GCN layers multiply by."""
-        return self.active_mask.astype(self.features.dtype).reshape(-1, 1)
-
     def rows_of(self, index: int) -> slice:
         """Row range of graph ``index`` inside the stacked arrays."""
         return slice(int(self.offsets[index]), int(self.offsets[index + 1]))

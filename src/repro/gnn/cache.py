@@ -13,9 +13,9 @@ Two cost centers dominated the seed pipeline's redundant work:
   hands them to CFGExplainer training, PGExplainer's offline stage and
   the Figure 2 / Tables III–IV experiments.
 
-Keys are content hashes (array bytes), not object identities:
-Algorithm 2 mutates adjacency buffers in place between forward passes,
-so identity-keyed caching would silently serve stale matrices.  Hashing
+Keys are content hashes (array bytes), not object identities: a
+caller may mutate an adjacency buffer in place between forward passes,
+and identity-keyed caching would silently serve stale matrices.  Hashing
 is O(N²) but a small constant compared to normalization or a forward
 pass, and it makes the caches safe for arbitrary callers.  Callers
 that hold an :class:`~repro.acfg.graph.ACFG` skip even that constant:
@@ -26,6 +26,7 @@ same graphs hash each one exactly once process-wide.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -190,13 +191,26 @@ class EmbeddingCache:
     training (:func:`repro.core.training.precompute_embeddings`),
     PGExplainer's offline stage and Algorithm 2's first rung then reuse
     Z / the predicted class instead of re-running Φ per consumer.
+
+    Entries from :meth:`populate` are pinned for the cache's lifetime.
+    Entries computed on a :meth:`forward` miss — every cold request a
+    serving engine explains — go to an LRU of at most ``maxsize``
+    entries, so serving unique graphs cannot grow the cache without
+    bound.  Returned entries are shared — treat them as read-only.
     """
 
-    def __init__(self, model: "GCNClassifier"):
+    def __init__(self, model: "GCNClassifier", maxsize: int = 128):
+        if maxsize <= 0:
+            raise ValueError("maxsize must be positive")
         self.model = model
+        self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: dict[bytes, CachedForward] = {}
+        self._pinned: dict[bytes, CachedForward] = {}
+        self._recent: OrderedDict[bytes, CachedForward] = OrderedDict()
+        # Serving threads share one cache; the LRU's reorder/evict
+        # steps are not atomic.
+        self._lock = threading.Lock()
 
     @staticmethod
     def _key(graph: "ACFG") -> bytes:
@@ -207,34 +221,52 @@ class EmbeddingCache:
         )
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._pinned) + len(self._recent)
 
     def populate(self, dataset: "ACFGDataset | list[ACFG]", batch_size: int = 32) -> None:
-        """Run batched forward passes over every graph not yet cached."""
+        """Run batched forward passes over every graph not yet pinned."""
+        pending = []
+        with self._lock:
+            for graph in dataset:
+                key = self._key(graph)
+                if key in self._pinned:
+                    continue
+                entry = self._recent.pop(key, None)
+                if entry is not None:
+                    self._pinned[key] = entry
+                else:
+                    pending.append(graph)
+        computed = self._compute(pending, batch_size)
+        with self._lock:
+            self._pinned.update(computed)
+
+    def _compute(
+        self, graphs: "list[ACFG]", batch_size: int
+    ) -> dict[bytes, CachedForward]:
         from repro.gnn.batch import iter_batches
         from repro.nn import no_grad
 
-        pending = [g for g in dataset if self._key(g) not in self._entries]
-        if not pending:
-            return
+        computed: dict[bytes, CachedForward] = {}
+        if not graphs:
+            return computed
         if not hasattr(self.model, "embed_batch"):
             # Alternative Φ implementations without the batched engine
             # (e.g. DGCNN): one dense forward per graph.
-            for graph in pending:
+            for graph in graphs:
                 mask = np.zeros(graph.n, dtype=bool)
                 mask[: graph.n_real] = True
                 with no_grad():
                     z = self.model.embed(graph.adjacency, graph.features, mask)
                     probs = self.model.classify(z)
                 probs_data = probs.numpy().reshape(-1).copy()
-                self._entries[self._key(graph)] = CachedForward(
+                computed[self._key(graph)] = CachedForward(
                     z=z.numpy().copy(),
                     probs=probs_data,
                     predicted_class=int(np.argmax(probs_data)),
                 )
-            return
+            return computed
         for batch in iter_batches(
-            pending, batch_size, a_hat_cache=getattr(self.model, "a_hat_cache", None)
+            graphs, batch_size, a_hat_cache=getattr(self.model, "a_hat_cache", None)
         ):
             with no_grad():
                 z = self.model.embed_batch(batch)
@@ -242,38 +274,51 @@ class EmbeddingCache:
             z_data, probs_data = z.numpy(), probs.numpy()
             for i, graph in enumerate(batch.graphs):
                 rows = slice(batch.offsets[i], batch.offsets[i + 1])
-                entry = CachedForward(
+                computed[self._key(graph)] = CachedForward(
                     z=z_data[rows].copy(),
                     probs=probs_data[i].copy(),
                     predicted_class=int(np.argmax(probs_data[i])),
                 )
-                self._entries[self._key(graph)] = entry
+        return computed
 
-    def lookup(self, graph: "ACFG") -> CachedForward | None:
-        entry = self._entries.get(self._key(graph))
+    def _get(self, key: bytes) -> CachedForward | None:
+        with self._lock:
+            entry = self._pinned.get(key)
+            if entry is None:
+                entry = self._recent.get(key)
+                if entry is not None:
+                    self._recent.move_to_end(key)
+            if entry is not None:
+                self.hits += 1
         if entry is not None:
-            self.hits += 1
             add_counter("cache.embedding.hits")
         return entry
+
+    def lookup(self, graph: "ACFG") -> CachedForward | None:
+        return self._get(self._key(graph))
 
     def forward(self, graph: "ACFG") -> CachedForward:
         """Cached forward results, computing (and storing) on a miss."""
         key = self._key(graph)
-        entry = self._entries.get(key)
+        entry = self._get(key)
         if entry is not None:
-            self.hits += 1
-            add_counter("cache.embedding.hits")
             return entry
-        self.misses += 1
         add_counter("cache.embedding.misses")
-        self.populate([graph], batch_size=1)
-        return self._entries[key]
+        entry = self._compute([graph], batch_size=1)[key]
+        with self._lock:
+            self.misses += 1
+            self._recent[key] = entry
+            while len(self._recent) > self.maxsize:
+                self._recent.popitem(last=False)
+        return entry
 
     def cache_info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses, len(self._entries), -1)
+        return CacheInfo(self.hits, self.misses, len(self), self.maxsize)
 
     def clear(self) -> None:
         """Drop every cached forward (e.g. after the GNN's weights change)."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._pinned.clear()
+            self._recent.clear()
+            self.hits = 0
+            self.misses = 0

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.acfg.graph import ACFG
 from repro.gnn.normalize import normalized_adjacency
-from repro.nn import Dense, GCNConv, Module, Tensor, no_grad
+from repro.nn import CSRMatrix, Dense, GCNConv, Module, Tensor, no_grad
 
 __all__ = ["DGCNNClassifier"]
 
@@ -82,12 +82,26 @@ class DGCNNClassifier(Module):
         active_mask: np.ndarray,
     ) -> Tensor:
         """Concatenated per-layer channels, shifted non-negative."""
-        n = int(a_hat.shape[0])
-        mask = Tensor(np.asarray(active_mask, dtype=np.float64).reshape(n, 1))
+        return self._channels(lambda conv, h: conv(a_hat, h), features, active_mask)
+
+    def embed_csr(
+        self,
+        a_hat: CSRMatrix,
+        features: np.ndarray | Tensor,
+        active_mask: np.ndarray,
+    ) -> Tensor:
+        """:meth:`embed_normalized` over a constant CSR Â (Algorithm 2's
+        rungs), through :meth:`GCNConv.sparse`'s composed tanh path."""
+        return self._channels(
+            lambda conv, h: conv.sparse(a_hat, h), features, active_mask
+        )
+
+    def _channels(self, propagate, features, active_mask) -> Tensor:
         h = Tensor.ensure(features)
+        mask = Tensor(np.asarray(active_mask, dtype=np.float64).reshape(-1, 1))
         outputs = []
         for conv in self.convs:
-            h = conv(a_hat, h)
+            h = propagate(conv, h)
             # tanh ∈ [-1, 1]; shift into [0, 2] and re-zero inactive rows.
             outputs.append((h + 1.0) * mask)
             h = h * mask

@@ -12,10 +12,12 @@ The classifier has two execution engines:
 * the per-graph dense path (``embed`` / ``forward_acfg`` / ``predict``)
   — kept as the differentiable-adjacency entry point the mask-based
   explainers backpropagate through;
-* the batched block-diagonal path (``embed_batch`` / ``logits_batch``
-  / ``predict_batch``) over :class:`repro.gnn.batch.GraphBatch`, which
-  runs a whole mini-batch in one sparse forward pass.  Both paths are
-  numerically identical (tests/test_graph_batch.py).
+* the constant-CSR path (``embed_csr``) — the batched block-diagonal
+  engine (``embed_batch`` / ``logits_batch`` / ``predict_batch``) over
+  :class:`repro.gnn.batch.GraphBatch`, which runs a whole mini-batch in
+  one sparse forward pass, and Algorithm 2's pruning rungs both run
+  through it.  Both paths are numerically identical
+  (tests/test_graph_batch.py).
 """
 
 from __future__ import annotations
@@ -26,7 +28,17 @@ import numpy as np
 
 from repro.acfg.graph import ACFG
 from repro.gnn.cache import AHatCache
-from repro.nn import Dense, GCNConv, Module, Tensor, no_grad, segment_max, segment_sum
+from repro.nn import (
+    CSRMatrix,
+    Dense,
+    GCNConv,
+    KernelWorkspace,
+    Module,
+    Tensor,
+    no_grad,
+    segment_max,
+    segment_sum,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from repro.gnn.batch import GraphBatch
@@ -152,27 +164,42 @@ class GCNClassifier(Module):
         return self.classifier(pooled).reshape(-1)
 
     # ------------------------------------------------------------------
-    # batched block-diagonal engine
+    # constant-CSR engine: batches and Algorithm 2's rungs
     # ------------------------------------------------------------------
+    def embed_csr(
+        self,
+        a_hat: CSRMatrix,
+        features: np.ndarray | Tensor,
+        active_mask: np.ndarray,
+        workspace: KernelWorkspace | None = None,
+    ) -> Tensor:
+        """Φ_e over a constant CSR Â, shape ``[N, f]``.
+
+        The one propagation over a constant Â: the batched engine runs
+        it on a block-diagonal Â and Algorithm 2 on each pruning rung's
+        Â.  Each layer is a fused spmm+bias+ReLU+mask kernel
+        (:func:`repro.nn.sparse.gcn_layer`); with a ``workspace`` the
+        intermediates live in its reusable buffers.
+        """
+        z = Tensor.ensure(features)
+        mask = np.asarray(active_mask, dtype=z.data.dtype).reshape(-1, 1)
+        for index, conv in enumerate(self.convs):
+            z = conv.sparse(
+                a_hat, z, mask=mask, workspace=workspace, slot=f"conv{index}"
+            )
+        return z
+
     def embed_batch(self, batch: "GraphBatch") -> Tensor:
         """Stacked node embeddings for a whole batch, ``[total_nodes, f]``.
 
-        One sparse forward pass over the block-diagonal Â; row
+        One :meth:`embed_csr` pass over the block-diagonal Â; row
         ``batch.rows_of(i)`` holds graph *i*'s embeddings, identical to
-        what :meth:`embed` produces for that graph alone.  Each layer
-        runs as a fused spmm+bias+ReLU+mask kernel
-        (:func:`repro.nn.sparse.gcn_layer`), with intermediates in the
-        batch's :class:`~repro.nn.backend.KernelWorkspace` when one is
-        attached.
+        what :meth:`embed` produces for that graph alone.
         """
-        mask = batch.mask_column
-        z = Tensor.ensure(batch.features)
-        for index, conv in enumerate(self.convs):
-            z = conv.sparse(
-                batch.a_hat, z, mask=mask,
-                workspace=batch.workspace, slot=f"conv{index}",
-            )
-        return z
+        return self.embed_csr(
+            batch.a_hat, batch.features, batch.active_mask,
+            workspace=batch.workspace,
+        )
 
     def logits_batch(self, z: Tensor, batch: "GraphBatch") -> Tensor:
         """Per-graph logits ``[B, C]`` from stacked embeddings.

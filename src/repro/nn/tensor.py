@@ -14,6 +14,7 @@ topological walk from the loss.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,21 +23,28 @@ from repro.nn.dtype import get_compute_dtype
 
 __all__ = ["Tensor", "no_grad"]
 
-# Global switch consulted when building the graph.  Inside ``no_grad()``
-# blocks no backward closures are recorded, which makes inference cheap.
-_GRAD_ENABLED = True
+# Threads inside a ``no_grad()`` block, with their nesting depth.  While
+# a thread is in one, its ops record no backward closures, which makes
+# inference cheap.  Kept per thread: with one process-wide flag, two
+# threads whose blocks interleave restore each other's saved state and
+# can leave recording off for the whole process.  Each thread only
+# writes its own key.  Empty — the common case while training — the
+# check costs one truthiness test per op.
+_NO_GRAD_DEPTH: dict[int, int] = {}
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables graph construction (inference mode)
+    in the calling thread."""
+    ident = threading.get_ident()
+    _NO_GRAD_DEPTH[ident] = _NO_GRAD_DEPTH.get(ident, 0) + 1
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        depth = _NO_GRAD_DEPTH.pop(ident) - 1
+        if depth:
+            _NO_GRAD_DEPTH[ident] = depth
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -82,7 +90,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and (
+            not _NO_GRAD_DEPTH or threading.get_ident() not in _NO_GRAD_DEPTH
+        )
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -104,7 +114,9 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         out.grad = None
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = (
+            not _NO_GRAD_DEPTH or threading.get_ident() not in _NO_GRAD_DEPTH
+        ) and any(p.requires_grad for p in parents)
         out.requires_grad = requires
         if requires:
             out._backward = backward

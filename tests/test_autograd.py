@@ -185,6 +185,38 @@ class TestGraphMechanics:
             out = (t * 2.0).sum()
         assert not out.requires_grad
 
+    def test_no_grad_is_per_thread(self):
+        """Interleaved no_grad blocks in two threads (A enters, B enters,
+        A exits, B exits) leave recording on outside them."""
+        import threading
+
+        steps = [threading.Event() for _ in range(4)]
+        inside = {}
+
+        def block(name, enter_after, entered, exit_after, exited):
+            if enter_after is not None:
+                assert steps[enter_after].wait(10)
+            with no_grad():
+                inside[name] = Tensor(np.ones(1), requires_grad=True).requires_grad
+                steps[entered].set()
+                if exit_after is not None:
+                    assert steps[exit_after].wait(10)
+            steps[exited].set()
+
+        threads = [
+            threading.Thread(target=block, args=("a", None, 0, 1, 2)),
+            threading.Thread(target=block, args=("b", 0, 1, 2, 3)),
+        ]
+        for thread in threads:
+            thread.start()
+        assert steps[0].wait(10)
+        assert Tensor(np.ones(1), requires_grad=True).requires_grad
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside == {"a": False, "b": False}
+        assert Tensor(np.ones(1), requires_grad=True).requires_grad
+
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(RuntimeError):

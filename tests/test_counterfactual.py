@@ -192,7 +192,7 @@ def _explanation_with_fractions(graph, fractions):
         SubgraphLevel(
             fraction=f,
             kept_nodes=order[: kept_count(f, graph.n_real)],
-            adjacency=graph.adjacency.copy(),
+            graph=graph,
         )
         for f in fractions
     ]

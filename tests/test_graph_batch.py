@@ -272,6 +272,62 @@ class TestEmbeddingCache:
         assert again is entry
         assert cache.cache_info().hits == 1
 
+    def test_misses_are_bounded_and_populated_entries_pinned(
+        self, mixed_batch_graphs
+    ):
+        model = GCNClassifier(hidden=(8, 4), rng=np.random.default_rng(0))
+        cache = EmbeddingCache(model, maxsize=2)
+        pinned, served = mixed_batch_graphs[:2], mixed_batch_graphs[2:]
+        cache.populate(pinned)
+        for graph in served:
+            cache.forward(graph)
+        assert len(cache) == len(pinned) + 2
+        assert cache.cache_info().misses == len(served)
+        for graph in pinned:  # never evicted by misses
+            cache.forward(graph)
+        assert cache.cache_info().misses == len(served)
+        cache.forward(served[0])  # evicted as least recently used
+        assert cache.cache_info().misses == len(served) + 1
+        cache.populate(served)  # pins what populate sees, recomputing none
+        assert len(cache) == len(mixed_batch_graphs)
+        assert cache.cache_info().misses == len(served) + 1
+
+    def test_concurrent_misses_keep_the_bound(self, mixed_batch_graphs):
+        import sys
+        import threading
+
+        model = GCNClassifier(hidden=(8, 4), rng=np.random.default_rng(0))
+        cache = EmbeddingCache(model, maxsize=2)
+        # One more graph than the bound: threads hit and evict the same
+        # entries all the time.
+        graphs = [make_graph(6, 4, label=i, seed=100 + i) for i in range(3)]
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(200):
+                    cache.forward(graphs[(offset + step) % len(graphs)])
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,)) for k in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= 2
+        info = cache.cache_info()
+        assert info.hits + info.misses == 6 * 200
+
     def test_precompute_embeddings_reuses_shared_cache(self, mixed_batch_graphs):
         from repro.acfg.dataset import ACFGDataset
         from repro.core.training import precompute_embeddings

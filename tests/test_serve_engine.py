@@ -129,6 +129,35 @@ def test_reduced_engine_lifts_explanations(serve_engine, serve_corpus):
     assert response.explanation.node_order.shape[0] == original.n_real
 
 
+def test_serving_keeps_the_embedding_cache_bounded(
+    serve_engine, serve_corpus, small_dataset, trained_theta
+):
+    """Cold requests miss the shared EmbeddingCache; its LRU caps them."""
+    from repro.core import CFGExplainer
+    from repro.gnn import EmbeddingCache
+
+    bound = 8
+    cache = EmbeddingCache(serve_engine.gnn, maxsize=bound)
+    cache.populate(small_dataset[0])
+    pinned = len(cache)
+    engine = InferenceEngine(
+        gnn=serve_engine.gnn,
+        scaler=serve_engine.scaler,
+        explainers={
+            "CFGExplainer": CFGExplainer(
+                serve_engine.gnn, trained_theta, embedding_cache=cache
+            )
+        },
+        families=serve_engine.families,
+    )
+    listings = serve_corpus[:50]
+    assert len({sample.program.name for sample in listings}) == 50
+    for sample in listings:
+        engine.submit(sample)
+    assert cache.cache_info().misses >= bound
+    assert len(cache) <= pinned + bound
+
+
 def test_from_artifacts_duck_types(serve_engine, serve_corpus):
     class FakeArtifacts:
         class config:
